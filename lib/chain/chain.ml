@@ -386,6 +386,21 @@ let trace t h = Hashtbl.find_opt t.traces h
 let all_receipts t =
   List.rev_map (fun h -> Hashtbl.find t.receipts h) t.tx_order
 
+(** Receipts appended since [tx_order] was [since] (a value it held
+    earlier), oldest first, with the current [tx_order] to pass next
+    time.  The walk stops at [since], so it costs the new transactions
+    only. *)
+let receipts_since t ~since =
+  let now = t.tx_order in
+  let rec newer acc l =
+    if l == since then acc
+    else
+      match l with
+      | [] -> invalid_arg "Chain.receipts_since: not an earlier tx_order"
+      | h :: tl -> newer (Hashtbl.find t.receipts h :: acc) tl
+  in
+  (newer [] now, now)
+
 let all_blocks t = List.rev t.blocks
 
 let transaction_count t = List.length t.tx_order

@@ -117,5 +117,12 @@ val trace : t -> Types.hash -> Types.call_frame option
 val all_receipts : t -> Types.receipt list
 (** Chain order, oldest first. *)
 
+val receipts_since :
+  t -> since:Types.hash list -> Types.receipt list * Types.hash list
+(** [receipts_since t ~since] is the receipts appended since [t.tx_order]
+    was [since] (oldest first) and the current [t.tx_order].  Start from
+    [~since:[]]; the cost follows the new receipts, not the history.
+    Raises [Invalid_argument] if [since] is not an earlier [tx_order]. *)
+
 val all_blocks : t -> Types.block list
 val transaction_count : t -> int

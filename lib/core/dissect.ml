@@ -1,11 +1,15 @@
 (** Dissection of the derived Datalog relations into a classified
     anomaly report (the logic behind Tables 3 and 4).
 
-    Shared by the batch {!Detector} and the streaming {!Monitor}: both
-    evaluate the rules into a database, then call {!dissect} to turn
-    the derived relations plus decoder errors into {!Report.t}. *)
+    Two parts: {!alerting} reads only the anomaly relations and the
+    rule counts, so its cost follows the standing anomalies; {!dataset}
+    prices every valid cross-chain transaction, so its cost follows the
+    history.  The batch {!Detector} takes both through {!dissect}; the
+    streaming {!Monitor} alerts from the first on every poll and builds
+    the second only when a report is asked for. *)
 
 module Engine = Xcw_datalog.Engine
+module Span = Xcw_obs.Span
 open Xcw_datalog.Ast
 
 (* --- tuple field accessors ----------------------------------------- *)
@@ -16,11 +20,15 @@ let str_at (t : const array) i =
 let int_at (t : const array) i =
   match t.(i) with Int n -> n | Str _ -> invalid_arg "int_at: string field"
 
-let dissect ~label ~(config : Config.t) ~(pricing : Pricing.t)
+type alerting = {
+  rows : Report.rule_row list;
+  attack_rows : Report.attack_row list;
+  acc_rows : Report.acc_row list;
+}
+
+let alerting ~(config : Config.t) ~(pricing : Pricing.t)
     ~(first_window_withdrawal_id : int option)
-    ~(decode_errors : Decoder.decode_error list) ~(db : Engine.db)
-    ?(decode_seconds = 0.0) ?(eval_seconds = 0.0)
-    ?(simulated_rpc_seconds = 0.0) ?total_facts () : Report.t =
+    ~(decode_errors : Decoder.decode_error list) (db : Engine.db) : alerting =
   let src_chain_id = config.Config.source_chain_id in
   let dst_chain_id = config.Config.target_chain_id in
   let facts_of = Engine.facts db in
@@ -108,9 +116,13 @@ let dissect ~label ~(config : Config.t) ~(pricing : Pricing.t)
   (* Withdrawal ids whose T-side event had an unparseable beneficiary:
      the S-side execution exists but can never match (Section 5.2.2's
      three false positives). *)
-  let unparseable_wids =
-    List.filter_map (fun e -> e.Decoder.err_withdrawal_id) decode_errors
-  in
+  let unparseable_wids = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      Option.iter
+        (fun wid -> Hashtbl.replace unparseable_wids wid ())
+        e.Decoder.err_withdrawal_id)
+    decode_errors;
   (* unmatched withdrawal tuples: (tx, ts, amt, wid, ben, token). *)
   let classify_unmatched_withdrawal ~side tuple =
     let tx = str_at tuple 0 in
@@ -122,7 +134,7 @@ let dissect ~label ~(config : Config.t) ~(pricing : Pricing.t)
       if finality_wdr_member tx then Report.Finality_violation
       else if mapping_wdr_member tx then Report.Token_mapping_violation
       else if ben_mismatch_wdr_member tx then Report.Invalid_beneficiary_fp
-      else if side = `S && List.mem wid unparseable_wids then
+      else if side = `S && Hashtbl.mem unparseable_wids wid then
         Report.Invalid_beneficiary_fp
       else
         match (side, first_window_withdrawal_id) with
@@ -212,43 +224,6 @@ let dissect ~label ~(config : Config.t) ~(pricing : Pricing.t)
           a_detail = Printf.sprintf "token %s left bridge toward %s" token (str_at t 3);
         })
       (facts_of Rules.r_transfer_from_bridge_no_event)
-  in
-  (* --- cctx dataset -------------------------------------------------- *)
-  let cctx_deposits =
-    List.map
-      (fun t ->
-        let src_token = str_at t 5 in
-        {
-          Report.c_kind = `Deposit;
-          c_src_tx = str_at t 0;
-          c_dst_tx = str_at t 1;
-          c_id = int_at t 2;
-          c_amount = str_at t 8;
-          c_token = src_token;
-          c_beneficiary = str_at t 7;
-          c_usd_value = usd ~chain_id:src_chain_id ~token:src_token (str_at t 8);
-          c_start_ts = int_at t 9;
-          c_end_ts = int_at t 10;
-        })
-      (facts_of Rules.r_cctx_valid_deposit)
-  in
-  let cctx_withdrawals =
-    List.map
-      (fun t ->
-        let src_token = str_at t 5 in
-        {
-          Report.c_kind = `Withdrawal;
-          c_src_tx = str_at t 0;
-          c_dst_tx = str_at t 1;
-          c_id = int_at t 2;
-          c_amount = str_at t 8;
-          c_token = src_token;
-          c_beneficiary = str_at t 7;
-          c_usd_value = usd ~chain_id:src_chain_id ~token:src_token (str_at t 8);
-          c_start_ts = int_at t 9;
-          c_end_ts = int_at t 10;
-        })
-      (facts_of Rules.r_cctx_valid_withdrawal)
   in
   (* --- attack-pack tables (2023 hack corpus) ------------------------ *)
   (* Pre-window S-side releases have a legitimate (uncaptured) T-side
@@ -485,7 +460,7 @@ let dissect ~label ~(config : Config.t) ~(pricing : Pricing.t)
       };
       {
         Report.rr_rule = "4. CCTX_ValidDeposit";
-        rr_captured = List.length cctx_deposits;
+        rr_captured = count_of Rules.r_cctx_valid_deposit;
         rr_anomalies = deposit_anomalies;
       };
       {
@@ -507,17 +482,49 @@ let dissect ~label ~(config : Config.t) ~(pricing : Pricing.t)
       };
       {
         Report.rr_rule = "8. CCTX_ValidWithdrawal";
-        rr_captured = List.length cctx_withdrawals;
+        rr_captured = count_of Rules.r_cctx_valid_withdrawal;
         rr_anomalies = withdrawal_anomalies;
       };
     ]
   in
+  { rows; attack_rows; acc_rows }
+
+let dataset ~(config : Config.t) ~(pricing : Pricing.t) (db : Engine.db) :
+    Report.cctx list =
+  Span.with_ "dissect.dataset" @@ fun () ->
+  let src_chain_id = config.Config.source_chain_id in
+  let cctx kind tuple =
+    let src_token = str_at tuple 5 in
+    {
+      Report.c_kind = kind;
+      c_src_tx = str_at tuple 0;
+      c_dst_tx = str_at tuple 1;
+      c_id = int_at tuple 2;
+      c_amount = str_at tuple 8;
+      c_token = src_token;
+      c_beneficiary = str_at tuple 7;
+      c_usd_value =
+        Pricing.usd_value_str pricing ~chain_id:src_chain_id ~token:src_token
+          (str_at tuple 8);
+      c_start_ts = int_at tuple 9;
+      c_end_ts = int_at tuple 10;
+    }
+  in
+  List.map (cctx `Deposit) (Engine.facts db Rules.r_cctx_valid_deposit)
+  @ List.map (cctx `Withdrawal) (Engine.facts db Rules.r_cctx_valid_withdrawal)
+
+let dissect ~label ~config ~pricing ~first_window_withdrawal_id ~decode_errors
+    ~db ?(decode_seconds = 0.0) ?(eval_seconds = 0.0)
+    ?(simulated_rpc_seconds = 0.0) ?total_facts () : Report.t =
+  let a =
+    alerting ~config ~pricing ~first_window_withdrawal_id ~decode_errors db
+  in
   {
     Report.bridge_name = label;
-    rows;
-    attack_rows;
-    acc_rows;
-    cctxs = cctx_deposits @ cctx_withdrawals;
+    rows = a.rows;
+    attack_rows = a.attack_rows;
+    acc_rows = a.acc_rows;
+    cctxs = dataset ~config ~pricing db;
     total_facts =
       (match total_facts with Some n -> n | None -> Engine.total_tuples db);
     decode_seconds;

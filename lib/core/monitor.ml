@@ -14,10 +14,20 @@
     semi-naive delta — strata untouched by the new facts do no work,
     and the non-monotonic anomaly relations (an "unmatched" deposit
     becomes matched when its completion lands) are retracted and
-    re-derived in place.  Per-poll cost is therefore proportional to
-    the new blocks, not to the full history (see the
-    [monitor_steady_state] bench).  [create ~incremental:false] keeps
-    the original rebuild-everything behaviour for comparison.
+    re-derived in place.  [create ~incremental:false] keeps the
+    original rebuild-everything behaviour for comparison.
+
+    What a poll costs, outside the engine, follows the new blocks plus
+    the standing anomalies: each side's receipt array grows by the
+    chain's new suffix, the cursor scan starts at the decoded prefix,
+    fact/trace-gap counts and the decode-error map are updated as
+    entries come and go, and alerting reads only the anomaly relations
+    ({!Dissect.alerting}).  The priced cross-chain dataset, which
+    follows the history, is built only when {!last_report} asks for it.
+    Not O(new blocks): inside the engine, every stratum whose negated
+    predicate changed is cleared and re-derived over the whole history
+    on every poll; a reorg rewind rebuilds the database; a snapshot
+    re-serialises the whole state every [snapshot_every] polls.
 
     The monitor degrades gracefully under RPC faults (see
     {!Xcw_rpc.Fault}): a receipt whose fetch or decode fails stays
@@ -59,6 +69,10 @@ module Checkpoint = struct
     ck_sym : Xcw_store.Symmap.t;
     ck_every : int;
     mutable ck_recovered : Store.recovered option;
+    (* Reused for every record and snapshot: once they have grown to
+       the largest payload, encoding allocates no payload-sized copy. *)
+    ck_syms : Buffer.t;
+    ck_body : Buffer.t;
   }
 
   let open_ ?crash ?(snapshot_every = 8) ~dir () =
@@ -68,6 +82,8 @@ module Checkpoint = struct
       ck_sym = Xcw_store.Symmap.create ();
       ck_every = snapshot_every;
       ck_recovered = Some recovered;
+      ck_syms = Buffer.create 4096;
+      ck_body = Buffer.create 4096;
     }
 
   let store t = t.ck_store
@@ -212,22 +228,88 @@ end
 (* ------------------------------------------------------------------ *)
 
 (* Everything decoded from one receipt, kept so a reorg rewind can
-   rebuild the database and the report's decode errors from scratch. *)
+   rebuild the database and the report's decode errors from scratch.
+   Facts are packed once, at decode: loads, rebuilds and snapshots all
+   reuse the interned cells (shared with the database's tuples). *)
 type entry = {
   e_block : int;
-  e_facts : Facts.t list;
+  e_facts : (string * Engine.Relation.tuple) list;
   e_errors : Decoder.decode_error list;
   e_trace_gap : bool;
 }
 
+module IntMap = Map.Make (Int)
+
+(* One chain as the monitor sees it.  [sd_receipts] mirrors the chain's
+   receipt list and grows by the chain's new suffix; [sd_entries] is
+   indexed the same way.  The counts and the decode-error map are kept
+   current by [set_entry]/[drop_entry], so a poll never folds over the
+   history to report them. *)
 type side = {
   sd_chain : Chain.t;
   sd_role : Decoder.chain_role;
   sd_client : Client.t;
   sd_cursor : Cursor.t;
-  sd_entries : (int, entry) Hashtbl.t;  (** receipt index -> decode *)
+  mutable sd_seen : Types.hash list;  (** [tx_order] at the last refresh *)
+  mutable sd_receipts : Types.receipt array;  (** [0, sd_len) are valid *)
+  mutable sd_len : int;
+  mutable sd_entries : entry option array;  (** receipt index -> decode *)
+  mutable sd_facts : int;  (** facts over all entries *)
+  mutable sd_gaps : int;  (** entries decoded without the call tracer *)
+  mutable sd_errors : Decoder.decode_error list IntMap.t;
+      (** receipt index -> its decode errors, for entries that have any *)
+  mutable sd_pending : int;  (** receipts left pending by the last poll *)
   mutable sd_requested : int;  (** highest block cursor ever requested *)
 }
+
+let grow a need fill =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Append the receipts the chain gained since the last refresh. *)
+let refresh s =
+  match Chain.receipts_since s.sd_chain ~since:s.sd_seen with
+  | [], _ -> ()
+  | (r0 :: _ as fresh), now ->
+      s.sd_seen <- now;
+      s.sd_receipts <- grow s.sd_receipts (s.sd_len + List.length fresh) r0;
+      List.iter
+        (fun r ->
+          s.sd_receipts.(s.sd_len) <- r;
+          s.sd_len <- s.sd_len + 1)
+        fresh
+
+let block_of s i = s.sd_receipts.(i).Types.r_block_number
+
+let drop_entry s i =
+  match if i < Array.length s.sd_entries then s.sd_entries.(i) else None with
+  | None -> ()
+  | Some e ->
+      s.sd_entries.(i) <- None;
+      s.sd_facts <- s.sd_facts - List.length e.e_facts;
+      if e.e_trace_gap then s.sd_gaps <- s.sd_gaps - 1;
+      if e.e_errors <> [] then s.sd_errors <- IntMap.remove i s.sd_errors
+
+let set_entry s i e =
+  drop_entry s i;
+  s.sd_entries <- grow s.sd_entries (i + 1) None;
+  s.sd_entries.(i) <- Some e;
+  s.sd_facts <- s.sd_facts + List.length e.e_facts;
+  if e.e_trace_gap then s.sd_gaps <- s.sd_gaps + 1;
+  if e.e_errors <> [] then s.sd_errors <- IntMap.add i e.e_errors s.sd_errors
+
+(* Entries in receipt order. *)
+let iter_entries s f =
+  Array.iteri (fun i -> function Some e -> f i e | None -> ()) s.sd_entries
+
+let entries s =
+  let acc = ref [] in
+  iter_entries s (fun i e -> acc := (i, e) :: !acc);
+  List.rev !acc
 
 type health = {
   h_synced : bool;
@@ -266,7 +348,9 @@ type t = {
   (* Anomaly keys already alerted: (rule, class name, tx hash). *)
   m_known : (string * string * string, unit) Hashtbl.t;
   mutable m_polls : int;
-  mutable m_last_report : Report.t option;
+  mutable m_view : Engine.db option;
+      (** the database as of the latest poll: the report's source *)
+  mutable m_report : Report.t option;  (** built on demand; reset by a poll *)
   mutable m_reorgs : int;
   mutable m_last_error : string option;
   (* Durable-state extension (PR 9): per-poll WAL + snapshots. *)
@@ -293,7 +377,14 @@ let make_side ~input ~role ~chain ~profile ~fault ~endpoint_faults ~seed
         ~endpoints:input.Detector.i_endpoints ~quorum:input.Detector.i_quorum
         ~fault ~endpoint_faults chain;
     sd_cursor = Cursor.create ();
-    sd_entries = Hashtbl.create 64;
+    sd_seen = [];
+    sd_receipts = [||];
+    sd_len = 0;
+    sd_entries = [||];
+    sd_facts = 0;
+    sd_gaps = 0;
+    sd_errors = IntMap.empty;
+    sd_pending = 0;
     sd_requested = 0;
   }
 
@@ -312,20 +403,24 @@ let make_obs reg =
     mo_facts = Metrics.gauge reg "xcw_monitor_facts_cached";
   }
 
-let sorted_entries s =
-  Hashtbl.fold (fun i e acc -> (i, e) :: acc) s.sd_entries []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map snd
+let load_packed db facts =
+  List.iter
+    (fun (pred, tuple) -> ignore (Engine.insert_packed db pred tuple))
+    facts
 
 (* Facts of every decoded receipt, source side first, receipt order —
    the same order the batch detector produces them in. *)
 let all_entry_facts t =
-  List.concat_map (fun e -> e.e_facts) (sorted_entries t.m_src)
-  @ List.concat_map (fun e -> e.e_facts) (sorted_entries t.m_dst)
+  let side s =
+    let acc = ref [] in
+    iter_entries s (fun _ e -> acc := e.e_facts :: !acc);
+    List.concat (List.rev !acc)
+  in
+  side t.m_src @ side t.m_dst
 
 let all_decode_errors t =
-  List.concat_map (fun e -> e.e_errors) (sorted_entries t.m_src)
-  @ List.concat_map (fun e -> e.e_errors) (sorted_entries t.m_dst)
+  let side s = List.concat_map snd (IntMap.bindings s.sd_errors) in
+  side t.m_src @ side t.m_dst
 
 (* ------------------------------------------------------------------ *)
 (* Durable state codec                                                 *)
@@ -343,8 +438,7 @@ module CW = Xcw_store.Codec.W
 module CR = Xcw_store.Codec.R
 module Symmap = Xcw_store.Symmap
 
-let put_fact sym b fact =
-  let pred, tuple = Facts.to_packed fact in
+let put_fact sym b (pred, tuple) =
   CW.int b (Symmap.encode_cell sym (Xcw_datalog.Ast.pack_string pred));
   CW.int b (Array.length tuple);
   Array.iter (fun c -> CW.int b (Symmap.encode_cell sym c)) tuple
@@ -362,7 +456,7 @@ let get_fact sym r =
     tuple.(i) <- Symmap.decode_cell sym (CR.int r)
   done;
   match Facts.of_packed pred tuple with
-  | Some f -> f
+  | Some _ -> (pred, tuple)
   | None -> raise (CR.Corrupt ("fact layout for relation " ^ pred))
 
 let put_error b (e : Decoder.decode_error) =
@@ -408,9 +502,9 @@ let put_side sym b s ~removed ~added =
 let apply_side sym r s =
   s.sd_requested <- CR.int r;
   let removed = CR.list r (fun () -> CR.int r) in
-  List.iter (Hashtbl.remove s.sd_entries) removed;
+  List.iter (drop_entry s) removed;
   let added = CR.list r (fun () -> get_entry sym r) in
-  List.iter (fun (i, e) -> Hashtbl.replace s.sd_entries i e) added;
+  List.iter (fun (i, e) -> set_entry s i e) added;
   (List.length removed, added)
 
 (* Shared core of WAL records and snapshots; [known] distinguishes
@@ -468,17 +562,20 @@ let apply_state t ck r =
            (ru, cl, tx)));
   (src_removed + dst_removed, src_added @ dst_added)
 
-(* Frame a payload: the strings newly assigned to store ids while
-   encoding the body must precede the body, so the decoder can bind
-   them before the first cell that uses them. *)
-let with_symbols ck ~all body =
+(* Frame a payload as two parts in the checkpoint's reused buffers:
+   the strings newly assigned to store ids while encoding the body,
+   then the body, so the decoder can bind them before the first cell
+   that uses them. *)
+let framed ck ~all put_body =
+  let body = ck.Checkpoint.ck_body and syms = ck.Checkpoint.ck_syms in
+  Buffer.clear body;
+  put_body body;
   let sym = ck.Checkpoint.ck_sym in
-  let syms = if all then Symmap.dump sym else Symmap.take_fresh sym in
+  let strs = if all then Symmap.dump sym else Symmap.take_fresh sym in
   if all then ignore (Symmap.take_fresh sym);
-  let b = CW.create () in
-  CW.list b (CW.str b) syms;
-  Buffer.add_buffer b body;
-  Buffer.contents b
+  Buffer.clear syms;
+  CW.list syms (CW.str syms) strs;
+  [ syms; body ]
 
 (* Snapshots additionally persist the engine-derived tuples, so
    recovery can graft them back via {!Engine.restore_fixpoint} instead
@@ -500,7 +597,9 @@ let put_derived sym b db =
   CW.list b
     (fun pred ->
       CW.int b (Symmap.encode_cell sym (Xcw_datalog.Ast.pack_string pred));
-      CW.list b (put_tuple sym b) (Engine.packed_facts db pred))
+      let rel = Engine.relation db pred in
+      CW.int b (Engine.Relation.size rel);
+      Engine.Relation.iter rel (put_tuple sym b))
     (Engine.derived_predicates db)
 
 let get_derived sym r =
@@ -514,22 +613,18 @@ let get_derived sym r =
       (pred, CR.list r (fun () -> get_tuple sym r)))
 
 let encode_record t ck ~src ~dst ~alerts =
-  let body = CW.create () in
-  put_state t ck body ~src ~dst ~alerts ~known:None;
-  with_symbols ck ~all:false body
+  framed ck ~all:false (fun body ->
+      put_state t ck body ~src ~dst ~alerts ~known:None)
 
 let encode_snapshot t ck =
-  let body = CW.create () in
-  let full s =
-    ( [],
-      Hashtbl.fold (fun i e acc -> (i, e) :: acc) s.sd_entries []
-      |> List.sort (fun (a, _) (b, _) -> compare a b) )
-  in
-  let known = Hashtbl.fold (fun k () acc -> k :: acc) t.m_known [] in
-  put_state t ck body ~src:(full t.m_src) ~dst:(full t.m_dst)
-    ~alerts:t.m_replay ~known:(Some (List.sort compare known));
-  put_derived ck.Checkpoint.ck_sym body t.m_db;
-  with_symbols ck ~all:true body
+  framed ck ~all:true (fun body ->
+      let known = Hashtbl.fold (fun k () acc -> k :: acc) t.m_known [] in
+      put_state t ck body
+        ~src:([], entries t.m_src)
+        ~dst:([], entries t.m_dst)
+        ~alerts:t.m_replay
+        ~known:(Some (List.sort compare known));
+      put_derived ck.Checkpoint.ck_sym body t.m_db)
 
 (* Returns the applied record's (rewind removals, added-entry facts)
    plus the reader, positioned after the state body so snapshot
@@ -557,7 +652,7 @@ let recover t ck =
            database evaluated — the WAL tail and the next poll then run
            as ordinary incremental deltas instead of re-deriving every
            rule over the reloaded history. *)
-        ignore (Facts.load_all t.m_db (all_entry_facts t));
+        load_packed t.m_db (all_entry_facts t);
         Engine.restore_fixpoint t.m_db ~derived;
         true
   in
@@ -566,11 +661,11 @@ let recover t ck =
     (fun (_idx, p) ->
       let removed, added_facts, _r = apply_payload t ck p in
       tail_removed := !tail_removed + removed;
-      if restored_fixpoint then ignore (Facts.load_all t.m_db added_facts))
+      if restored_fixpoint then load_packed t.m_db added_facts)
     r_records;
   (* The cursor invariant is "decoded set = entry keys": rebuild it
      from the restored entries rather than replaying cursor motion. *)
-  let rebuild s = Hashtbl.iter (fun i _ -> Cursor.mark s.sd_cursor i) s.sd_entries in
+  let rebuild s = iter_entries s (fun i _ -> Cursor.mark s.sd_cursor i) in
   rebuild t.m_src;
   rebuild t.m_dst;
   if restored_fixpoint && !tail_removed > 0 then begin
@@ -579,14 +674,14 @@ let recover t ck =
        database, full reload, next poll re-derives from scratch. *)
     let db = Engine.create_db () in
     ignore (Facts.load_all db (Config.to_facts t.m_input.Detector.i_config));
-    ignore (Facts.load_all db (all_entry_facts t));
+    load_packed db (all_entry_facts t);
     t.m_db <- db
   end
   else if not restored_fixpoint then
     (* No snapshot: refill the fresh database; the next poll's
        [run_incremental] treats the reload as its initial delta and
        re-derives everything, exactly like the post-reorg rebuild. *)
-    ignore (Facts.load_all t.m_db (all_entry_facts t))
+    load_packed t.m_db (all_entry_facts t)
 
 let create ?(incremental = true) ?metrics ?checkpoint (input : Detector.input)
     : t =
@@ -619,7 +714,8 @@ let create ?(incremental = true) ?metrics ?checkpoint (input : Detector.input)
       m_db = db;
       m_known = Hashtbl.create 256;
       m_polls = 0;
-      m_last_report = None;
+      m_view = None;
+      m_report = None;
       m_reorgs = 0;
       m_last_error = None;
       m_ckpt = checkpoint;
@@ -630,14 +726,14 @@ let create ?(incremental = true) ?metrics ?checkpoint (input : Detector.input)
   (match checkpoint with None -> () | Some ck -> recover t ck);
   t
 
-let block_of_receipts receipts i = receipts.(i).Types.r_block_number
-
+(* Receipts within the requested cursor still to decode.  The cursor
+   scan starts at the fully-decoded prefix, so this costs the
+   undecoded suffix, not the history. *)
 let pending_count s =
-  let receipts = Array.of_list (Chain.all_receipts s.sd_chain) in
-  Cursor.candidates s.sd_cursor
-    ~block_of:(block_of_receipts receipts)
-    ~len:(Array.length receipts) ~up_to:s.sd_requested
-  |> List.length
+  refresh s;
+  List.length
+    (Cursor.candidates s.sd_cursor ~block_of:(block_of s) ~len:s.sd_len
+       ~up_to:s.sd_requested)
 
 (* Advance one side: observe the node's head (which may lag or signal a
    reorg), rewind on reorg, then decode every not-yet-decoded receipt
@@ -654,33 +750,31 @@ let poll_side t s ~up_to_block =
       t.m_last_error <- Some (Rpc.error_to_string e);
       ([], false, [], [])
   | Ok hv ->
-      let receipts = Array.of_list (Chain.all_receipts s.sd_chain) in
-      let block_of = block_of_receipts receipts in
+      refresh s;
       let rewound, removed =
         match hv.Rpc.hv_reorged_to with
         | None -> (false, [])
         | Some surviving ->
             t.m_reorgs <- t.m_reorgs + 1;
             Metrics.Counter.inc t.m_obs.mo_reorgs;
-            let dropped =
-              Hashtbl.fold
-                (fun i e acc -> if e.e_block > surviving then i :: acc else acc)
-                s.sd_entries []
-            in
+            let dropped = ref [] in
+            iter_entries s (fun i e ->
+                if e.e_block > surviving then dropped := i :: !dropped);
+            let dropped = List.rev !dropped in
             if dropped = [] then (false, [])
             else begin
-              List.iter (Hashtbl.remove s.sd_entries) dropped;
-              Cursor.rewind s.sd_cursor ~block_of ~above:surviving;
+              List.iter (drop_entry s) dropped;
+              Cursor.rewind s.sd_cursor ~block_of:(block_of s) ~above:surviving;
               (true, dropped)
             end
       in
       let chain_id = s.sd_chain.Chain.chain_id in
       let added = ref [] in
       let fresh =
-        Cursor.candidates s.sd_cursor ~block_of ~len:(Array.length receipts)
+        Cursor.candidates s.sd_cursor ~block_of:(block_of s) ~len:s.sd_len
           ~up_to:hv.Rpc.hv_head
         |> List.concat_map (fun i ->
-               let r = receipts.(i) in
+               let r = s.sd_receipts.(i) in
                let fetch = Client.get_receipt s.sd_client r.Types.r_tx_hash in
                match fetch.Rpc.value with
                | Error e ->
@@ -700,16 +794,65 @@ let poll_side t s ~up_to_block =
                        let entry =
                          {
                            e_block = r.Types.r_block_number;
-                           e_facts = rd.Decoder.rd_facts;
+                           e_facts =
+                             List.map Facts.to_packed rd.Decoder.rd_facts;
                            e_errors = rd.Decoder.rd_errors;
                            e_trace_gap = rd.Decoder.rd_trace_gap;
                          }
                        in
-                       Hashtbl.replace s.sd_entries i entry;
+                       set_entry s i entry;
                        added := (i, entry) :: !added;
-                       rd.Decoder.rd_facts))
+                       entry.e_facts))
       in
       (fresh, rewound, removed, List.rev !added)
+
+(* Alerts for the anomalies of [db] not alerted before, in report order:
+   rule rows, then accounting rows (an accounting hit becomes an
+   anomaly of class [Accounting xr_class], keyed by its relation). *)
+let fresh_alerts t db ~source_block ~target_block =
+  let a =
+    Dissect.alerting ~config:t.m_input.Detector.i_config
+      ~pricing:t.m_input.Detector.i_pricing
+      ~first_window_withdrawal_id:
+        t.m_input.Detector.i_first_window_withdrawal_id
+      ~decode_errors:(all_decode_errors t) db
+  in
+  let fresh = ref [] in
+  let offer rule (anomaly : Report.anomaly) =
+    let key =
+      (rule, Report.class_name anomaly.Report.a_class, anomaly.Report.a_tx_hash)
+    in
+    if not (Hashtbl.mem t.m_known key) then begin
+      Hashtbl.replace t.m_known key ();
+      t.m_seq <- t.m_seq + 1;
+      fresh :=
+        {
+          al_seq = t.m_seq;
+          al_anomaly = anomaly;
+          al_rule = rule;
+          al_detected_at = (source_block, target_block);
+        }
+        :: !fresh
+    end
+  in
+  List.iter
+    (fun row -> List.iter (offer row.Report.rr_rule) row.Report.rr_anomalies)
+    a.Dissect.rows;
+  List.iter
+    (fun row ->
+      List.iter
+        (fun h ->
+          offer row.Report.xr_rule
+            {
+              Report.a_class = Report.Accounting row.Report.xr_class;
+              a_tx_hash = h.Report.ah_tx_hash;
+              a_chain_id = h.Report.ah_chain_id;
+              a_usd_value = h.Report.ah_usd_value;
+              a_detail = h.Report.ah_detail;
+            })
+        row.Report.xr_hits)
+    a.Dissect.acc_rows;
+  List.rev !fresh
 
 (** Advance the monitor to the given block cursors; returns alerts for
     anomalies that appeared since the previous poll.  Under fault
@@ -734,16 +877,12 @@ let rec poll t ~source_block ~target_block : alert list =
   in
   if live then begin
     Metrics.Histogram.observe obs.mo_poll_seconds (Unix.gettimeofday () -. t0);
-    let ps = pending_count t.m_src and pd = pending_count t.m_dst in
+    let ps = t.m_src.sd_pending and pd = t.m_dst.sd_pending in
     Metrics.Gauge.set obs.mo_pending_src (float_of_int ps);
     Metrics.Gauge.set obs.mo_pending_dst (float_of_int pd);
     Metrics.Gauge.set obs.mo_synced (if ps = 0 && pd = 0 then 1. else 0.);
-    (* Count without materializing the (large) concatenated fact list. *)
-    let side_facts s =
-      Hashtbl.fold (fun _ e acc -> acc + List.length e.e_facts) s.sd_entries 0
-    in
     Metrics.Gauge.set obs.mo_facts
-      (float_of_int (side_facts t.m_src + side_facts t.m_dst))
+      (float_of_int (t.m_src.sd_facts + t.m_dst.sd_facts))
   end;
   Metrics.Counter.add obs.mo_alerts (List.length alerts);
   alerts
@@ -755,6 +894,8 @@ and poll_body t ~source_block ~target_block : alert list =
   let dst_fresh, dst_rewound, dst_removed, dst_added =
     poll_side t t.m_dst ~up_to_block:target_block
   in
+  t.m_src.sd_pending <- pending_count t.m_src;
+  t.m_dst.sd_pending <- pending_count t.m_dst;
   let rewound = src_rewound || dst_rewound in
   let fresh_facts = src_fresh @ dst_fresh in
   let db =
@@ -767,13 +908,13 @@ and poll_body t ~source_block ~target_block : alert list =
         let db = Engine.create_db () in
         ignore
           (Facts.load_all db (Config.to_facts t.m_input.Detector.i_config));
-        ignore (Facts.load_all db (all_entry_facts t));
+        load_packed db (all_entry_facts t);
         t.m_db <- db
       end
       else
         (* Load only the delta; strata unaffected by the fresh facts
            are skipped by the engine. *)
-        ignore (Facts.load_all t.m_db fresh_facts);
+        load_packed t.m_db fresh_facts;
       ignore
         (Engine.run_incremental ~metrics:t.m_metrics
            ~ndomains:t.m_input.Detector.i_ndomains
@@ -784,7 +925,7 @@ and poll_body t ~source_block ~target_block : alert list =
       (* From-scratch reference mode: rebuild the full database. *)
       let db = Engine.create_db () in
       ignore (Facts.load_all db (Config.to_facts t.m_input.Detector.i_config));
-      ignore (Facts.load_all db (all_entry_facts t));
+      load_packed db (all_entry_facts t);
       ignore
         (Engine.run ~metrics:t.m_metrics
            ~ndomains:t.m_input.Detector.i_ndomains
@@ -792,93 +933,18 @@ and poll_body t ~source_block ~target_block : alert list =
       db
     end
   in
-  (* Reuse the detector's dissection logic by running it over a
-     pre-decoded snapshot: the detector decodes chains itself, so here
-     we rebuild only the classification layer via a lightweight
-     re-dissection. *)
-  (* Match the detector's [total_facts] semantics — the EDB loaded into
-     the engine, not the post-evaluation tuple count (the incremental
-     db also carries every derived tuple at this point). *)
-  let total_facts =
-    List.fold_left
-      (fun acc p -> acc - Engine.fact_count db p)
-      (Engine.total_tuples db) (Engine.derived_predicates db)
-  in
-  let report =
-    Dissect.dissect ~label:t.m_input.Detector.i_label
-      ~config:t.m_input.Detector.i_config ~pricing:t.m_input.Detector.i_pricing
-      ~first_window_withdrawal_id:t.m_input.Detector.i_first_window_withdrawal_id
-      ~decode_errors:(all_decode_errors t) ~db ~total_facts ()
-  in
-  t.m_last_report <- Some report;
+  (* The report is built from [db] only when asked for ({!last_report}):
+     alerting reads the anomaly relations alone, never the dataset. *)
+  t.m_view <- Some db;
+  t.m_report <- None;
   (* Only a synced poll emits alerts: when a side is behind (faults,
-     head lag), the report reflects a partial cross-chain view whose
+     head lag), the database reflects a partial cross-chain view whose
      transient unmatched anomalies would both false-alert now and
      poison [m_known] against the real alert later.  Clean runs are
      always synced, so this changes nothing fault-free. *)
   let alerts =
-    if pending_count t.m_src > 0 || pending_count t.m_dst > 0 then []
-    else begin
-      let fresh = ref [] in
-      List.iter
-        (fun row ->
-          List.iter
-            (fun a ->
-              let key =
-                ( row.Report.rr_rule,
-                  Report.class_name a.Report.a_class,
-                  a.Report.a_tx_hash )
-              in
-              if not (Hashtbl.mem t.m_known key) then begin
-                Hashtbl.replace t.m_known key ();
-                t.m_seq <- t.m_seq + 1;
-                fresh :=
-                  {
-                    al_seq = t.m_seq;
-                    al_anomaly = a;
-                    al_rule = row.Report.rr_rule;
-                    al_detected_at = (source_block, target_block);
-                  }
-                  :: !fresh
-              end)
-            row.Report.rr_anomalies)
-        report.Report.rows;
-      (* Accounting rows alert through the same dedup/sequence machinery:
-         a hit becomes an anomaly of class [Accounting xr_class], keyed
-         by its accounting relation. *)
-      List.iter
-        (fun row ->
-          List.iter
-            (fun h ->
-              let cls = Report.Accounting row.Report.xr_class in
-              let key =
-                ( row.Report.xr_rule,
-                  Report.class_name cls,
-                  h.Report.ah_tx_hash )
-              in
-              if not (Hashtbl.mem t.m_known key) then begin
-                Hashtbl.replace t.m_known key ();
-                t.m_seq <- t.m_seq + 1;
-                fresh :=
-                  {
-                    al_seq = t.m_seq;
-                    al_anomaly =
-                      {
-                        Report.a_class = cls;
-                        a_tx_hash = h.Report.ah_tx_hash;
-                        a_chain_id = h.Report.ah_chain_id;
-                        a_usd_value = h.Report.ah_usd_value;
-                        a_detail = h.Report.ah_detail;
-                      };
-                    al_rule = row.Report.xr_rule;
-                    al_detected_at = (source_block, target_block);
-                  }
-                  :: !fresh
-              end)
-            row.Report.xr_hits)
-        report.Report.acc_rows;
-      List.rev !fresh
-    end
+    if t.m_src.sd_pending > 0 || t.m_dst.sd_pending > 0 then []
+    else fresh_alerts t db ~source_block ~target_block
   in
   (* Durability point: the record (cursor delta + alert seqs) hits the
      WAL before the alerts are released to the caller, so a crash can
@@ -888,33 +954,30 @@ and poll_body t ~source_block ~target_block : alert list =
   (match t.m_ckpt with
   | None -> ()
   | Some ck ->
-      let payload =
-        encode_record t ck
-          ~src:(src_removed, src_added)
-          ~dst:(dst_removed, dst_added)
-          ~alerts
-      in
-      ignore (Xcw_store.Store.append ck.Checkpoint.ck_store payload);
+      ignore
+        (Xcw_store.Store.append_parts ck.Checkpoint.ck_store
+           (encode_record t ck
+              ~src:(src_removed, src_added)
+              ~dst:(dst_removed, dst_added)
+              ~alerts));
       t.m_replay <- alerts;
       if
         ck.Checkpoint.ck_every > 0
         && t.m_polls mod ck.Checkpoint.ck_every = 0
       then
-        Xcw_store.Store.snapshot ck.Checkpoint.ck_store (encode_snapshot t ck));
+        Xcw_store.Store.snapshot_parts ck.Checkpoint.ck_store
+          (encode_snapshot t ck));
   alerts
 
 let health t =
   let pending_src = pending_count t.m_src in
   let pending_dst = pending_count t.m_dst in
-  let trace_gaps s =
-    Hashtbl.fold (fun _ e n -> if e.e_trace_gap then n + 1 else n) s.sd_entries 0
-  in
   let give_ups s = (Client.stats s.sd_client).Client.s_give_ups in
   {
     h_synced = pending_src = 0 && pending_dst = 0;
     h_pending_source = pending_src;
     h_pending_target = pending_dst;
-    h_trace_gaps = trace_gaps t.m_src + trace_gaps t.m_dst;
+    h_trace_gaps = t.m_src.sd_gaps + t.m_dst.sd_gaps;
     h_give_ups = give_ups t.m_src + give_ups t.m_dst;
     h_reorgs = t.m_reorgs;
     h_last_error = t.m_last_error;
@@ -934,10 +997,36 @@ let rpc_seconds t =
   Client.total_latency t.m_src.sd_client
   +. Client.total_latency t.m_dst.sd_client
 
-let last_report t = t.m_last_report
+let last_report t =
+  match (t.m_report, t.m_view) with
+  | (Some _ as r), _ | (None as r), None -> r
+  | None, Some db ->
+      (* Match the detector's [total_facts] semantics — the EDB loaded
+         into the engine, not the post-evaluation tuple count (the
+         incremental db also carries every derived tuple). *)
+      let total_facts =
+        List.fold_left
+          (fun acc p -> acc - Engine.fact_count db p)
+          (Engine.total_tuples db) (Engine.derived_predicates db)
+      in
+      let r =
+        Some
+          (Dissect.dissect ~label:t.m_input.Detector.i_label
+             ~config:t.m_input.Detector.i_config
+             ~pricing:t.m_input.Detector.i_pricing
+             ~first_window_withdrawal_id:
+               t.m_input.Detector.i_first_window_withdrawal_id
+             ~decode_errors:(all_decode_errors t) ~db ~total_facts ())
+      in
+      t.m_report <- r;
+      r
+
 let polls t = t.m_polls
 let replayed t = t.m_replay
 let alert_seq t = t.m_seq
-let cached_facts t = all_entry_facts t
-let facts_cached t = List.length (all_entry_facts t)
+let cached_facts t =
+  List.map
+    (fun (pred, tuple) -> Option.get (Facts.of_packed pred tuple))
+    (all_entry_facts t)
+let facts_cached t = t.m_src.sd_facts + t.m_dst.sd_facts
 let metrics_snapshot t = Metrics.snapshot t.m_metrics

@@ -15,6 +15,13 @@
     work.  [create ~incremental:false] restores the from-scratch
     rebuild per poll, for differential testing and benchmarking.
 
+    A poll alerts from the anomaly relations alone; the full report,
+    whose priced cross-chain dataset grows with the history, is built
+    by {!last_report} on demand.  Outside the engine a poll therefore
+    costs the new receipts plus the standing anomalies; inside it, the
+    strata with negation over a changed predicate are still re-derived
+    over the whole history. 
+
     Under RPC fault injection ({!Xcw_rpc.Fault} plans in the
     {!Detector.input}) the monitor degrades instead of raising: the
     receipt cursor only advances past fully-fetched data (failed
@@ -169,9 +176,11 @@ val pool_health : t -> (Xcw_rpc.Pool.health * Xcw_rpc.Pool.health) option
 
 val last_report : t -> Report.t option
 (** The full report as of the latest poll (anomalies that have since
-    been retracted by later matches are absent from it).  When
-    [health] reports unsynced, the report reflects a partial
-    cross-chain view. *)
+    been retracted by later matches are absent from it); [None] before
+    the first poll.  When [health] reports unsynced, the report
+    reflects a partial cross-chain view.  Built on the first call after
+    a poll (it prices every valid cross-chain transaction, so it costs
+    as much as the history) and returned as is until the next poll. *)
 
 val polls : t -> int
 
@@ -190,6 +199,8 @@ val rpc_seconds : t -> float
     never slept; [0.] until the first poll fetches something. *)
 
 val facts_cached : t -> int
+(** Facts decoded so far (a running count, as the
+    [xcw_monitor_facts_cached] gauge). *)
 
 val cached_facts : t -> Facts.t list
 (** Every fact decoded so far (source side first, receipt order) —

@@ -574,11 +574,6 @@ let facts (db : db) pred =
         (List.rev_map (Array.map Ast.unpack) (Relation.to_list r))
   | None -> []
 
-let packed_facts (db : db) pred =
-  match Hashtbl.find_opt db.db_rels pred with
-  | Some r -> Relation.to_list r
-  | None -> []
-
 let fact_count (db : db) pred =
   match Hashtbl.find_opt db.db_rels pred with
   | Some r -> Relation.size r

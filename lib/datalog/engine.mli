@@ -99,10 +99,6 @@ val facts : db -> string -> const array list
     set rather than of hash-table traversal — which the interning
     scheme would otherwise tie to load order. *)
 
-val packed_facts : db -> string -> Relation.tuple list
-(** The raw packed tuples, in unspecified (hash traversal) order — for
-    hot paths that only count, aggregate or re-pack. *)
-
 val fact_count : db -> string -> int
 val total_tuples : db -> int
 

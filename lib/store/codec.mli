@@ -6,7 +6,12 @@
     check indicates a format/version bug, not disk damage. *)
 
 val crc32 : ?off:int -> ?len:int -> string -> int32
-(** IEEE 802.3 CRC-32 of a substring (whole string by default). *)
+(** IEEE 802.3 CRC-32 of a substring (whole string by default).  Raises
+    [Invalid_argument] when the range falls outside the string. *)
+
+val crc32_buffers : Buffer.t list -> int32
+(** CRC-32 of the buffers' contents concatenated, without building the
+    concatenation. *)
 
 (** Append-only writer over a [Buffer.t]. *)
 module W : sig

@@ -119,24 +119,41 @@ let open_ ?(crash = Crash_plan.none ()) ~dir () =
       r_truncated_bytes = String.length raw - valid_len;
     } )
 
-let frame index payload =
-  let b = Buffer.create (header_len + String.length payload) in
-  Buffer.add_int64_le b (Int64.of_int (String.length payload));
-  Buffer.add_int64_le b (Int64.of_int index);
-  Buffer.add_int32_le b (Codec.crc32 payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+(* A record or snapshot goes out as its header followed by the payload
+   parts, each written straight from its buffer: the payload is never
+   concatenated, copied or flattened into a string.  [limit] writes
+   only the first [limit] bytes — a torn write. *)
+let output_parts ?(limit = max_int) oc parts =
+  ignore
+    (List.fold_left
+       (fun left p ->
+         let n = Buffer.length p in
+         if left >= n then Buffer.output_buffer oc p
+         else if left > 0 then output_string oc (Buffer.sub p 0 left);
+         left - n)
+       limit parts)
 
-let append t payload =
+let total_length parts = List.fold_left (fun n p -> n + Buffer.length p) 0 parts
+
+(* [magic], two u64 fields, then the CRC of the parts. *)
+let header ~magic f1 f2 parts =
+  let b = Buffer.create (String.length magic + header_len) in
+  Buffer.add_string b magic;
+  Buffer.add_int64_le b (Int64.of_int f1);
+  Buffer.add_int64_le b (Int64.of_int f2);
+  Buffer.add_int32_le b (Codec.crc32_buffers parts);
+  b
+
+let append_parts t parts =
   assert (not t.t_closed);
   let index = t.t_next in
-  let fr = frame index payload in
-  let n = String.length fr in
+  let fr = header ~magic:"" (total_length parts) index parts :: parts in
+  let n = total_length fr in
   Crash_plan.step t.t_crash Crash_plan.Wal_torn_record ~partial:(fun () ->
       (* A torn write: a strict prefix of the frame reaches disk. *)
-      output_substring t.t_chan fr 0 (max 1 (n / 2));
+      output_parts ~limit:(max 1 (n / 2)) t.t_chan fr;
       flush t.t_chan);
-  output_string t.t_chan fr;
+  output_parts t.t_chan fr;
   flush t.t_chan;
   Crash_plan.step t.t_crash Crash_plan.Wal_pre_sync ~partial:ignore;
   (try Unix.fsync (Unix.descr_of_out_channel t.t_chan)
@@ -147,32 +164,33 @@ let append t payload =
   t.t_appended <- t.t_appended + n;
   index
 
-let write_file_synced path content =
+let buffer_of_string s =
+  let b = Buffer.create (String.length s) in
+  Buffer.add_string b s;
+  b
+
+let append t payload = append_parts t [ buffer_of_string payload ]
+
+let write_file_synced ?limit path parts =
   let oc =
     open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 path
   in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc content;
+      output_parts ?limit oc parts;
       flush oc;
       try Unix.fsync (Unix.descr_of_out_channel oc)
       with Unix.Unix_error _ -> ())
 
-let snapshot t payload =
+let snapshot_parts t parts =
   assert (not t.t_closed);
-  let last = t.t_next - 1 in
-  let b = Buffer.create (String.length payload + 32) in
-  Buffer.add_string b snap_magic;
-  Buffer.add_int64_le b (Int64.of_int last);
-  Buffer.add_int64_le b (Int64.of_int (String.length payload));
-  Buffer.add_int32_le b (Codec.crc32 payload);
-  Buffer.add_string b payload;
-  let content = Buffer.contents b in
+  let content =
+    header ~magic:snap_magic (t.t_next - 1) (total_length parts) parts :: parts
+  in
   let tmp = t.t_snap ^ ".tmp" in
   Crash_plan.step t.t_crash Crash_plan.Snap_torn_temp ~partial:(fun () ->
-      let n = String.length content in
-      write_file_synced tmp (String.sub content 0 (max 1 (n / 2))));
+      write_file_synced ~limit:(max 1 (total_length content / 2)) tmp content);
   write_file_synced tmp content;
   Crash_plan.step t.t_crash Crash_plan.Snap_pre_rename ~partial:ignore;
   Sys.rename tmp t.t_snap;
@@ -183,6 +201,8 @@ let snapshot t payload =
     open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644
       t.t_wal;
   t.t_wal_bytes <- 0
+
+let snapshot t payload = snapshot_parts t [ buffer_of_string payload ]
 
 let next_index t = t.t_next
 let wal_bytes t = t.t_wal_bytes

@@ -37,6 +37,14 @@ val snapshot : t -> string -> unit
 (** Atomically replace the snapshot with [payload] covering every
     record appended so far, then truncate the WAL. *)
 
+val append_parts : t -> Buffer.t list -> int
+(** [append] of the parts' contents concatenated.  The parts are
+    checksummed and written in place: no copy of the payload is made,
+    so callers can keep reusing their buffers. *)
+
+val snapshot_parts : t -> Buffer.t list -> unit
+(** [snapshot] of the parts' contents concatenated, written in place. *)
+
 val next_index : t -> int
 
 val wal_bytes : t -> int

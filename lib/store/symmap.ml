@@ -1,53 +1,53 @@
+module Ast = Xcw_datalog.Ast
+
 type t = {
-  sm_fwd : (string, int) Hashtbl.t;
+  mutable sm_of_proc : int array;
+      (* process symbol id -> store id + 1; 0 = not yet in this store *)
   mutable sm_back : int array; (* store id -> process packed cell *)
-  mutable sm_strs : string array; (* store id -> string, for snapshots *)
   mutable sm_n : int;
-  mutable sm_fresh_rev : string list;
+  mutable sm_fresh_rev : int list; (* store ids to announce, newest first *)
 }
 
 let create () =
   {
-    sm_fwd = Hashtbl.create 64;
+    sm_of_proc = Array.make 64 0;
     sm_back = Array.make 64 0;
-    sm_strs = Array.make 64 "";
     sm_n = 0;
     sm_fresh_rev = [];
   }
 
-let grow t =
-  if t.sm_n = Array.length t.sm_back then begin
-    let cap = 2 * Array.length t.sm_back in
-    let back = Array.make cap 0 and strs = Array.make cap "" in
-    Array.blit t.sm_back 0 back 0 t.sm_n;
-    Array.blit t.sm_strs 0 strs 0 t.sm_n;
-    t.sm_back <- back;
-    t.sm_strs <- strs
+let grown a need =
+  if need < Array.length a then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
   end
 
-let assign t s ~fresh =
-  grow t;
+(* An odd packed cell carries its process symbol id above the tag bit. *)
+let proc_id packed = packed asr 1
+
+let assign t packed ~fresh =
   let id = t.sm_n in
-  Hashtbl.add t.sm_fwd s id;
-  t.sm_back.(id) <- Xcw_datalog.Ast.pack_string s;
-  t.sm_strs.(id) <- s;
+  t.sm_back <- grown t.sm_back (id + 1);
+  t.sm_back.(id) <- packed;
+  let p = proc_id packed in
+  t.sm_of_proc <- grown t.sm_of_proc (p + 1);
+  t.sm_of_proc.(p) <- id + 1;
   t.sm_n <- id + 1;
-  if fresh then t.sm_fresh_rev <- s :: t.sm_fresh_rev;
+  if fresh then t.sm_fresh_rev <- id :: t.sm_fresh_rev;
   id
 
+(* The store id is found through the cell's process symbol id: no
+   string is looked up, hashed or compared on the encode path. *)
 let encode_cell t packed =
-  if Xcw_datalog.Ast.packed_is_int packed then packed
+  if Ast.packed_is_int packed then packed
   else
-    let s =
-      match Xcw_datalog.Ast.unpack packed with
-      | Xcw_datalog.Ast.Str s -> s
-      | Xcw_datalog.Ast.Int _ -> assert false
+    let p = proc_id packed in
+    let known =
+      if p < Array.length t.sm_of_proc then t.sm_of_proc.(p) else 0
     in
-    let id =
-      match Hashtbl.find_opt t.sm_fwd s with
-      | Some id -> id
-      | None -> assign t s ~fresh:true
-    in
+    let id = if known > 0 then known - 1 else assign t packed ~fresh:true in
     (id lsl 1) lor 1
 
 let decode_cell t stored =
@@ -58,12 +58,14 @@ let decode_cell t stored =
       raise (Codec.R.Corrupt (Printf.sprintf "symbol id %d out of range" id))
     else t.sm_back.(id)
 
-let register t s = ignore (assign t s ~fresh:false)
+let register t s = ignore (assign t (Ast.pack_string s) ~fresh:false)
 
 let take_fresh t =
-  let fresh = List.rev t.sm_fresh_rev in
+  let fresh =
+    List.rev_map (fun id -> Ast.packed_to_string t.sm_back.(id)) t.sm_fresh_rev
+  in
   t.sm_fresh_rev <- [];
   fresh
 
 let size t = t.sm_n
-let dump t = Array.to_list (Array.sub t.sm_strs 0 t.sm_n)
+let dump t = List.init t.sm_n (fun id -> Ast.packed_to_string t.sm_back.(id))

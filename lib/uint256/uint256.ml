@@ -281,18 +281,59 @@ let rem a b = snd (divmod a b)
 
 let ten = of_int 10
 
+(* [t * m + c] for [m, c < 2^32], raising [Overflow] past 2^256 - 1:
+   schoolbook over 32-bit half-limbs, so every partial product fits an
+   int64 without a 128-bit multiply. *)
+let mul_small_add_exn t m c =
+  let m = Int64.of_int m and mask32 = 0xFFFFFFFFL in
+  let carry = ref (Int64.of_int c) in
+  let step l =
+    let lo = Int64.add (Int64.mul (Int64.logand l mask32) m) !carry in
+    let hi =
+      Int64.add
+        (Int64.mul (Int64.shift_right_logical l 32) m)
+        (Int64.shift_right_logical lo 32)
+    in
+    carry := Int64.shift_right_logical hi 32;
+    Int64.logor (Int64.shift_left hi 32) (Int64.logand lo mask32)
+  in
+  let l0 = step t.l0 in
+  let l1 = step t.l1 in
+  let l2 = step t.l2 in
+  let l3 = step t.l3 in
+  if !carry <> 0L then raise Overflow;
+  { l0; l1; l2; l3 }
+
+(* Amount strings are priced on every report, so digits are consumed
+   nine at a time (10^9 < 2^32): one small multiply-add per chunk
+   instead of a full 256x256-bit product per digit.  Every prefix value
+   is at most the final one, so overflow is raised exactly when the
+   digit-at-a-time parse would raise it. *)
 let of_decimal_string s =
   if s = "" then invalid_arg "Uint256.of_decimal_string: empty";
-  let acc = ref zero in
+  let acc = ref zero and chunk = ref 0 and scale = ref 1 in
+  let flush () =
+    if !scale > 1 then begin
+      acc := mul_small_add_exn !acc !scale !chunk;
+      chunk := 0;
+      scale := 1
+    end
+  in
   String.iter
     (fun c ->
       match c with
       | '0' .. '9' ->
-          let d = of_int (Char.code c - Char.code '0') in
-          acc := add_exn (mul_exn !acc ten) d
+          chunk := (!chunk * 10) + (Char.code c - Char.code '0');
+          scale := !scale * 10;
+          if !scale = 1_000_000_000 then flush ()
       | '_' -> ()
-      | _ -> invalid_arg "Uint256.of_decimal_string: non-digit")
+      | _ ->
+          (* The digits before [c] overflow first, as they would
+             digit by digit. *)
+          flush ();
+          invalid_arg "Uint256.of_decimal_string: non-digit")
     s;
+  flush ();
   !acc
 
 (* Decimal rendering is a fact-load hot path: every token amount

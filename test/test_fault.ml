@@ -68,6 +68,10 @@ let prop_differential =
       let user = T.user_with_tokens b m "flt-prop" (u 1_000_000) in
       T.seed_completed_deposit b m user;
       let clean_alerts = ref [] and faulty_alerts = ref [] in
+      (* After every poll, the clean monitor's report — and the faulty
+         one's whenever it is synced — equals the batch detector's over
+         the same chains, field by field. *)
+      let reports_ok = ref true in
       List.iteri
         (fun i op ->
           T.apply_op b m user i op;
@@ -76,23 +80,30 @@ let prop_differential =
             !clean_alerts @ Monitor.poll clean ~source_block:sb ~target_block:tb;
           faulty_alerts :=
             !faulty_alerts
-            @ Monitor.poll faulty ~source_block:sb ~target_block:tb)
+            @ Monitor.poll faulty ~source_block:sb ~target_block:tb;
+          let batch = T.report_fields (Detector.run input).Detector.report in
+          let same mon =
+            match Monitor.last_report mon with
+            | Some r -> T.report_fields r = batch
+            | None -> false
+          in
+          if not (same clean) then reports_ok := false;
+          if (Monitor.health faulty).Monitor.h_synced && not (same faulty)
+          then reports_ok := false)
         ops;
       (* Catch-up on recovery: keep polling the faulty monitor at the
          final cursors until it has fully fetched both chains. *)
       let sb, tb = T.cur b in
       let late, synced = drain faulty ~sb ~tb in
       faulty_alerts := !faulty_alerts @ late;
-      if not synced then false
+      if not (synced && !reports_ok) then false
       else if T.alert_keys !clean_alerts <> T.alert_keys !faulty_alerts then
         false
       else
-        let batch = Detector.run input in
+        let batch = T.report_fields (Detector.run input).Detector.report in
         match (Monitor.last_report clean, Monitor.last_report faulty) with
         | Some rc, Some rf ->
-            T.report_signature rc = T.report_signature rf
-            && T.report_signature rf
-               = T.report_signature batch.Detector.report
+            T.report_fields rc = batch && T.report_fields rf = batch
         | _ -> false)
 
 (* ------------------------------------------------------------------ *)

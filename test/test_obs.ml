@@ -473,6 +473,68 @@ let monitor_metrics =
           in
           Alcotest.(check int) "poll spans" 2 (List.length poll_spans)))
 
+(* Structural guard on the monitor's poll cost: the priced cross-chain
+   dataset ("dissect.dataset") scales with the history, so a poll must
+   never build it; the first report asked for after a poll builds it
+   once and later asks reuse it until the next poll. *)
+let monitor_dataset_on_demand =
+  Alcotest.test_case "polls build no dataset; reports build it once per poll"
+    `Quick (fun () ->
+      let b, m = T.make_bridge () in
+      let user = T.user_with_tokens b m "obs-dataset" (U256.of_int 1_000_000) in
+      T.seed_completed_deposit b m user;
+      T.apply_op b m user 0 0;
+      let reg = Metrics.create () in
+      let tracer = Span.create ~capacity:256 () in
+      let saved_tr = Span.default () in
+      Span.set_default tracer;
+      Fun.protect ~finally:(fun () -> Span.set_default saved_tr) (fun () ->
+          let mon = Monitor.create ~metrics:reg (T.monitor_input b) in
+          let datasets () =
+            List.length
+              (List.filter
+                 (fun r -> r.Span.sp_name = "dissect.dataset")
+                 (Span.records tracer))
+          in
+          let facts_gauge () =
+            match
+              Metrics.find (Monitor.metrics_snapshot mon)
+                "xcw_monitor_facts_cached"
+            with
+            | Some { Metrics.m_value = Metrics.V_gauge g; _ } -> g
+            | _ -> Alcotest.fail "missing gauge xcw_monitor_facts_cached"
+          in
+          let poll () =
+            let sb, tb = T.cur b in
+            ignore (Monitor.poll mon ~source_block:sb ~target_block:tb)
+          in
+          poll ();
+          Alcotest.(check int) "a poll builds no dataset" 0 (datasets ());
+          let gauge = facts_gauge () in
+          Alcotest.(check (float 0.0)) "gauge counts every cached fact"
+            (float_of_int (List.length (Monitor.cached_facts mon)))
+            gauge;
+          let r1 = Monitor.last_report mon in
+          Alcotest.(check int) "the first report builds it once" 1
+            (datasets ());
+          Alcotest.(check bool) "the dataset is in the report" true
+            (match r1 with
+            | Some r -> r.Xcw_core.Report.cctxs <> []
+            | None -> false);
+          let r2 = Monitor.last_report mon in
+          Alcotest.(check int) "a second report reuses it" 1 (datasets ());
+          Alcotest.(check bool) "the same report" true (r1 == r2);
+          Alcotest.(check (float 0.0)) "reports leave the gauge alone" gauge
+            (facts_gauge ());
+          T.apply_op b m user 1 0;
+          poll ();
+          Alcotest.(check int) "the next poll builds none" 1 (datasets ());
+          ignore (Monitor.last_report mon);
+          Alcotest.(check int) "its report builds one more" 2 (datasets ());
+          Alcotest.(check int) "facts_cached matches the cached facts"
+            (List.length (Monitor.cached_facts mon))
+            (Monitor.facts_cached mon)))
+
 let monitor_metrics_behaviour_neutral =
   Alcotest.test_case "alerts identical with live and noop registries" `Quick
     (fun () ->
@@ -567,6 +629,7 @@ let () =
           engine_metrics;
           engine_noop_metrics_free;
           monitor_metrics;
+          monitor_dataset_on_demand;
           monitor_metrics_behaviour_neutral;
           client_stats_snapshot;
         ] );

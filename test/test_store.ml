@@ -679,11 +679,82 @@ let recovery_golden =
                 (T.first_diff expected rendered))
 
 (* ------------------------------------------------------------------ *)
+(* On-disk format pin                                                  *)
+
+(* Bitwise IEEE CRC-32 over Int32, one bit at a time: the reference
+   the table-driven native-int [Codec.crc32] must reproduce. *)
+let crc32_ref ?(off = 0) ?len s =
+  let len = match len with Some l -> l | None -> String.length s - off in
+  let c = ref 0xFFFFFFFFl in
+  for i = off to off + len - 1 do
+    c := Int32.logxor !c (Int32.of_int (Char.code s.[i]));
+    for _ = 0 to 7 do
+      c :=
+        if Int32.logand !c 1l <> 0l then
+          Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+        else Int32.shift_right_logical !c 1
+    done
+  done;
+  Int32.logxor !c 0xFFFFFFFFl
+
+let crc_check_vector =
+  Alcotest.test_case "crc32 of \"123456789\" is 0xCBF43926" `Quick (fun () ->
+      Alcotest.(check int32) "sliced" 0xCBF43926l (Codec.crc32 "123456789");
+      Alcotest.(check int32) "reference" 0xCBF43926l (crc32_ref "123456789");
+      Alcotest.(check int32) "empty string" 0l (Codec.crc32 ""))
+
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"crc32 equals the bitwise Int32 reference" ~count:500
+    QCheck.(
+      triple (string_gen_of_size Gen.(0 -- 300) Gen.char) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      Codec.crc32 s = crc32_ref s
+      && Codec.crc32 ~off s = crc32_ref ~off s
+      && Codec.crc32 ~off ~len s = crc32_ref ~off ~len s)
+
+(* A small seeded checkpointed script whose WAL and snapshot bytes are
+   pinned by length and CRC-32: any change to the record or snapshot
+   encoding (field order, symbol framing, derived-tuple section) shows
+   here, however the writer is implemented. *)
+let format_pinned =
+  Alcotest.test_case "snapshot and WAL bytes of a fixed script are pinned"
+    `Quick (fun () ->
+      let b, m = T.make_bridge () in
+      let input = T.monitor_input b in
+      let user = T.user_with_tokens b m "store-format" (u 1_000_000) in
+      T.seed_completed_deposit b m user;
+      let dir = fresh_dir () in
+      let ck = Monitor.Checkpoint.open_ ~snapshot_every:3 ~dir () in
+      let mon = Monitor.create ~checkpoint:ck input in
+      List.iteri
+        (fun i op ->
+          T.apply_op b m user i op;
+          let sb, tb = T.cur b in
+          ignore (Monitor.poll mon ~source_block:sb ~target_block:tb))
+        [ 0; 1; 2; 3; 0; 2; 1; 3 ];
+      Monitor.Checkpoint.close ck;
+      let digest file =
+        let s = read_file (Filename.concat dir file) in
+        Printf.sprintf "%d:%08lx" (String.length s) (crc32_ref s)
+      in
+      Alcotest.(check string) "snapshot.bin" "12357:69d090b0"
+        (digest "snapshot.bin");
+      Alcotest.(check string) "wal.log" "1532:8bd93f2b" (digest "wal.log"))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "store"
     [
-      ("codec", [ codec_roundtrip ]);
+      ( "codec",
+        [
+          codec_roundtrip; crc_check_vector;
+          QCheck_alcotest.to_alcotest prop_crc_matches_reference;
+        ] );
+      ("format", [ format_pinned ]);
       ( "wal",
         [ wal_roundtrip; wal_torn_tail; wal_corrupt_record; snapshot_recovery ]
       );

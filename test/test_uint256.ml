@@ -210,6 +210,83 @@ let prop_to_float_monotone =
       let a, b = if U.le a b then (a, b) else (b, a) in
       U.to_float a <= U.to_float b)
 
+(* ------------------------------------------------------------------ *)
+(* Chunked decimal parsing                                             *)
+
+(* The digit-at-a-time parse the chunked [of_decimal_string] replaced:
+   one full 256-bit multiply-add per digit. *)
+let decimal_ref s =
+  if s = "" then invalid_arg "decimal_ref: empty";
+  let ten = U.of_int 10 in
+  String.fold_left
+    (fun acc c ->
+      match c with
+      | '0' .. '9' -> U.add_exn (U.mul_exn acc ten) (u (Char.code c - 48))
+      | '_' -> acc
+      | _ -> invalid_arg "decimal_ref: non-digit")
+    U.zero s
+
+let two_256_minus_1 =
+  "115792089237316195423570985008687907853269984665640564039457584007913129639935"
+
+let decimal_bounds =
+  Alcotest.test_case "decimal parse: 2^256-1 ok, 2^256 overflows, junk raises"
+    `Quick (fun () ->
+      Alcotest.check uint256_testable "2^256 - 1" U.max_int_u256
+        (U.of_decimal_string two_256_minus_1);
+      Alcotest.check uint256_testable "leading zeros and separators"
+        U.max_int_u256
+        (U.of_decimal_string ("000_" ^ two_256_minus_1));
+      let raises_overflow s =
+        match U.of_decimal_string s with
+        | exception U.Overflow -> true
+        | _ -> false
+      in
+      Alcotest.(check bool) "2^256 raises Overflow" true
+        (raises_overflow
+           "1157920892373161954235709850086879078532699846656405640394575840\
+            07913129639936");
+      Alcotest.(check bool) "80 nines raise Overflow" true
+        (raises_overflow (String.make 80 '9'));
+      let invalid s =
+        match U.of_decimal_string s with
+        | exception Invalid_argument _ -> true
+        | _ -> false
+      in
+      Alcotest.(check bool) "empty" true (invalid "");
+      Alcotest.(check bool) "letter" true (invalid "12a4");
+      Alcotest.(check bool) "sign" true (invalid "-1");
+      Alcotest.(check bool) "hex prefix" true (invalid "0x10");
+      Alcotest.(check bool) "space" true (invalid "1 000"))
+
+(* Random digit strings of 1-78 digits, with leading zeros and [_]
+   separators sprinkled in; up to 78 digits reaches past 2^256, so
+   both outcomes (a value, or [Overflow]) are exercised. *)
+let gen_decimal =
+  let open QCheck.Gen in
+  let* n = 1 -- 78 in
+  let* zeros = 0 -- 5 in
+  let* digits = string_size ~gen:(char_range '0' '9') (return n) in
+  let* seps = list_size (0 -- 4) (0 -- (n + zeros)) in
+  let s = String.make zeros '0' ^ digits in
+  return
+    (List.fold_left
+       (fun s at ->
+         let at = min at (String.length s) in
+         String.sub s 0 at ^ "_" ^ String.sub s at (String.length s - at))
+       s seps)
+
+let prop_decimal_chunked_matches_reference =
+  QCheck.Test.make ~name:"chunked decimal parse = digit-at-a-time reference"
+    ~count:1000 (QCheck.make ~print:Fun.id gen_decimal) (fun s ->
+      let outcome f =
+        match f s with v -> Ok v | exception U.Overflow -> Error ()
+      in
+      match (outcome U.of_decimal_string, outcome decimal_ref) with
+      | Ok a, Ok b -> U.equal a b
+      | Error (), Error () -> true
+      | _ -> false)
+
 let () =
   Alcotest.run "uint256"
     [
@@ -227,6 +304,7 @@ let () =
           bit_length_cases;
           shift_cases;
           to_int_bounds;
+          decimal_bounds;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -242,6 +320,7 @@ let () =
             prop_small_matches_int;
             prop_compare_total_order;
             prop_decimal_roundtrip;
+            prop_decimal_chunked_matches_reference;
             prop_bytes_roundtrip;
             prop_hex_roundtrip;
             prop_shift_mul_pow2;

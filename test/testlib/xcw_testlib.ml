@@ -150,6 +150,13 @@ let report_signature (r : Report.t) =
              row.Report.rr_anomalies) ))
     r.Report.rows
 
+(* Every report field a monitor must reproduce exactly, not only the
+   signature: each row with its anomalies (USD values and details
+   included, in report order), the attack and accounting rows, and the
+   priced cross-chain dataset. *)
+let report_fields (r : Report.t) =
+  (r.Report.rows, r.Report.attack_rows, r.Report.acc_rows, r.Report.cctxs)
+
 (* ------------------------------------------------------------------ *)
 (* Golden rendering                                                    *)
 
